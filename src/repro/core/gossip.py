@@ -209,27 +209,32 @@ class GossipProcess(Process):
                     self._inquirers = [src for src, _ in inbox]
             else:
                 # Part 2 pushes arrive in the same round they are sent.
-                for _, payload in inbox:
-                    self._absorb_extant(payload.entries)
+                self._merge_extant(inbox)
         elif offset == 1:
             if part == 1:
-                for _, payload in inbox:
-                    q, rumor = payload
-                    self._learn(q, rumor)
+                extant, delta = self.extant, self._extant_delta
+                for _, (q, rumor) in inbox:
+                    if q not in extant:
+                        extant[q] = rumor
+                        delta[q] = rumor
             # Part 2 offset 1 is an absorption slack round; pushes were
             # already merged at offset 0.
         else:
             if self.is_little:
                 probe = self._probe_for(rnd, offset)
                 probe.note_receptions(rnd, len(inbox))
-                for _, payload in inbox:
-                    if part == 1:
-                        self._absorb_extant(payload.entries)
-                    else:
-                        fresh = [
-                            q for q in payload.entries if q not in self.completion
-                        ]
-                        self.completion.update(fresh)
+                if part == 1:
+                    self._merge_extant(inbox)
+                else:
+                    completion = self.completion
+                    fresh = [
+                        q
+                        for _, payload in inbox
+                        for q in payload.entries
+                        if q not in completion
+                    ]
+                    if fresh:
+                        completion.update(fresh)
                         self._completion_delta.update(fresh)
                 if probe.finished(rnd):
                     self._survived_last = probe.survived
@@ -246,11 +251,15 @@ class GossipProcess(Process):
 
     # -- internals ----------------------------------------------------------------
 
-    def _learn(self, q: int, rumor: Any) -> None:
-        if q not in self.extant:
-            self.extant[q] = rumor
-            self._extant_delta[q] = rumor
+    def _merge_extant(self, inbox: list[tuple[int, Any]]) -> None:
+        """Merge the :class:`SetDelta` payloads of ``inbox``, in order.
 
-    def _absorb_extant(self, entries: tuple) -> None:
-        for q, rumor in entries:
-            self._learn(q, rumor)
+        One loop over the whole inbox: most probe deltas are empty, and
+        an empty one costs only its loop setup.
+        """
+        extant, delta = self.extant, self._extant_delta
+        for _, payload in inbox:
+            for q, rumor in payload.entries:
+                if q not in extant:
+                    extant[q] = rumor
+                    delta[q] = rumor

@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from repro.sim.adversary import CrashAdversary
+from repro.sim.adversary import CrashAdversary, next_event_after
 
 __all__ = [
     "ChurnSpec",
@@ -753,10 +753,7 @@ class ScenarioAdversary(CrashAdversary):
         return None
 
     def next_event_round(self, rnd: int) -> Optional[int]:
-        for event in self._event_rounds:
-            if event > rnd:
-                return event
-        return None
+        return next_event_after(self._event_rounds, rnd)
 
     def total_budget(self) -> int:
         return self.scenario.fault_budget()

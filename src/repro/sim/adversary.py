@@ -26,7 +26,8 @@ runtime can consult the extended surface unconditionally; see
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.sim.process import Process
 
@@ -40,6 +41,7 @@ __all__ = [
     "NoFailures",
     "ScheduledCrashes",
     "crash_schedule",
+    "next_event_after",
 ]
 
 
@@ -55,6 +57,12 @@ class CrashSpec(NamedTuple):
 
     round: int
     keep: Optional[int] = None
+
+
+def next_event_after(event_rounds: Sequence[int], rnd: int) -> Optional[int]:
+    """The first of the sorted ``event_rounds`` after ``rnd``, if any."""
+    index = bisect_right(event_rounds, rnd)
+    return event_rounds[index] if index < len(event_rounds) else None
 
 
 class CrashAdversary:
@@ -160,10 +168,7 @@ class ScheduledCrashes(CrashAdversary):
         return self._by_round.get(rnd, {})
 
     def next_event_round(self, rnd: int) -> Optional[int]:
-        for event in self._event_rounds:
-            if event > rnd:
-                return event
-        return None
+        return next_event_after(self._event_rounds, rnd)
 
     def total_budget(self) -> int:
         return len(self.schedule)

@@ -31,11 +31,12 @@ Fast-forward
 ------------
 Executions of the paper's algorithms contain long quiescent stretches
 (e.g. Part 1 of Many-Crashes-Consensus runs ``n - 1`` rounds but floods
-quiesce after the diameter).  When a round delivers no messages, every
-process declares its next spontaneous activity via
-:meth:`~repro.sim.process.Process.next_activity`, and the engine jumps
-directly to the earliest such round (or the next scheduled crash).  This
-is purely a simulator-cost optimisation; protocols are written against
+quiesce after the diameter), and even busy rounds leave most nodes
+silent.  Every process declares its next spontaneous activity via
+:meth:`~repro.sim.process.Process.next_activity`.  The reference loop
+asks for it only when a round delivers no messages and jumps directly
+to the earliest such round (or the next scheduled crash).  This is
+purely a simulator-cost optimisation; protocols are written against
 absolute round numbers so observable behaviour is identical (covered by
 tests comparing fast-forward on/off).
 
@@ -47,9 +48,11 @@ The engine carries two interchangeable round-loop implementations:
   per round, shares one ``(src, payload)`` envelope across a
   multicast's recipients, reuses preallocated inbox lists, caches
   :func:`~repro.sim.process.payload_bits` per payload object within a
-  round, and walks an incrementally-maintained list of active (neither
-  crashed nor halted) processes instead of testing membership per
-  process per phase;
+  round, and keeps a *wake index*: a round polls only the processes
+  whose declared ``next_activity`` is due, those that receive mail and
+  those that crash or rejoin in it, in pid order, and the next round is
+  the earliest due round or fault event -- so the cost of a round is
+  proportional to its work, not to ``n``;
 * the **reference** path (``Engine(..., optimized=False)``) is the
   original straight-line loop kept as the executable specification.
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Optional, Sequence
 
 from repro.obs.recorder import coerce_recorder
@@ -218,7 +222,9 @@ class Engine:
     max_rounds:
         Safety bound; exceeding it marks the run as not completed.
     fast_forward:
-        Enable quiescence skipping (see module docstring).
+        Enable quiescence skipping and, on the optimized loop, the
+        skipping of idle processes (see module docstring); ``False``
+        polls every running process every round.
     optimized:
         Select the batched hot-path round loop (default) or the
         straight-line reference loop; both are observably identical
@@ -467,14 +473,16 @@ class Engine:
         return completed, last_active_round
 
     def _loop_optimized(self, observer, fast_forward: bool) -> tuple[bool, int]:
-        """Batched hot-path round loop; observably identical to
+        """Batched, wake-indexed round loop; observably identical to
         :meth:`_loop_reference` (see module docstring and the parity
         tests)."""
         n = self.n
+        processes = self.processes
         metrics = self.metrics
         byzantine = self.byzantine
         crashed = self.crashed
         recorder = self.recorder
+        adversary = self.adversary
         # One append buffer per destination (indexed by pid, replacing
         # the reference path's dict+setdefault per message).  A buffer
         # that received messages is handed to its consumer and then
@@ -485,9 +493,31 @@ class Engine:
         # id(payload) -> (payload, bits); pins the payload so ids cannot
         # be recycled while cached.  Cleared every round.
         bits_cache: dict[int, tuple[Any, int]] = {}
-        active = [
-            p for p in self.processes if p.pid not in crashed and not p.halted
-        ]
+        # Wake index over the running (neither crashed nor halted)
+        # processes: wake[pid] is pid's declared wake round (-1 once it
+        # crashed or halted), due[r] the set of pids whose wake is r and
+        # due_rounds a heap over the keys of due.  Re-declaring moves a
+        # pid out of its old bucket, so buckets are exact; a bucket that
+        # empties stays on the heap until the round search drops it.
+        wake = [-1] * n
+        first: set[int] = set()
+        for proc in processes:
+            if proc.pid not in crashed and not proc.halted:
+                first.add(proc.pid)
+                wake[proc.pid] = 0
+        due: dict[int, set[int]] = {0: first}
+        due_rounds = [0]
+        #: running non-Byzantine pids; the run ends once none is left
+        running = first - byzantine
+
+        def retire(pid: int) -> None:
+            """Drop a pid that crashed or halted from the wake index."""
+            bucket = due.get(wake[pid])  # None once its round was polled
+            if bucket is not None:
+                bucket.discard(pid)
+            wake[pid] = -1
+            running.discard(pid)
+
         tel = self.telemetry
         decided_seen: set[int] = set()
 
@@ -499,14 +529,18 @@ class Engine:
             if tel is not None:
                 t_round = tel.clock()
 
+            if due_rounds and due_rounds[0] == rnd:
+                heappop(due_rounds)
+                polled = due.pop(rnd)
+            else:
+                polled = set()
             rejoining = self._apply_rejoins(rnd)
-            if rejoining:
-                # Rejoined pids must re-enter the active walk this round.
-                active = [
-                    p
-                    for p in self.processes
-                    if p.pid not in crashed and not p.halted
-                ]
+            for pid in rejoining:
+                if not processes[pid].halted:
+                    polled.add(pid)
+                    wake[pid] = rnd
+                    if pid not in byzantine:
+                        running.add(pid)
             if tel is not None:
                 t_rejoin = tel.clock()
                 if rejoining:
@@ -514,15 +548,16 @@ class Engine:
                     for pid in rejoining:
                         tel.point("rejoin", rnd, t_rejoin, pid=pid)
 
-            crashing = self.adversary.crashes_for_round(rnd, self)
-            membership_dirty = bool(crashing)
-            if crashing:
-                for pid in crashing:
-                    if pid in byzantine:
-                        raise ProtocolError(
-                            f"adversary attempted to crash Byzantine node {pid}"
-                        )
-            blocked = self.adversary.blocked_links(rnd)
+            crashing = adversary.crashes_for_round(rnd, self)
+            for pid in crashing:
+                if pid in byzantine:
+                    raise ProtocolError(
+                        f"adversary attempted to crash Byzantine node {pid}"
+                    )
+                if wake[pid] >= 0:
+                    # A crashing node is polled for its partial send.
+                    polled.add(pid)
+            blocked = adversary.blocked_links(rnd)
             if recorder is not None:
                 recorder.round_events(rnd, crashing, rejoining, blocked)
             if tel is not None:
@@ -531,27 +566,25 @@ class Engine:
                 for pid in crashing:
                     tel.point("crash", rnd, t_crash, pid=pid, keep=crashing[pid])
 
-            # Send phase.  A sender takes the collect_sends slow path
-            # when it crashes this round, when a link filter is active,
-            # or when a trace recorder is attached; the common
-            # crash-only case keeps the batched fast path below.
+            # Send phase, over the polled pids in pid order (inbox order
+            # and shared-service state such as signature nonces depend
+            # on it).  A sender takes the collect_sends slow path when
+            # it crashes this round, when a link filter is active, or
+            # when a trace recorder is attached; the common crash-only
+            # case keeps the batched fast path below.
             slow_round = blocked is not None or recorder is not None
             bits_cache.clear()
             touched: list[int] = []
             delivered_any = False
-            for proc in active:
-                pid = proc.pid
-                if proc.halted:
-                    # Halted since the last membership rebuild (e.g.
-                    # during on_start); skip, mirroring the reference.
-                    membership_dirty = True
-                    continue
+            for pid in sorted(polled):
+                proc = processes[pid]
                 if slow_round or (crashing and pid in crashing):
                     crashes_now = bool(crashing) and pid in crashing
                     keep = crashing[pid] if crashes_now else None
                     groups = self._collect_sends(proc, rnd, keep)
                     if crashes_now:
                         crashed.add(pid)
+                        retire(pid)
                     if blocked is not None:
                         mask = blocked.get(pid)
                         if mask:
@@ -632,18 +665,41 @@ class Engine:
                 t_send = tel.clock()
                 tel.span("send", rnd, t_crash, t_send)
 
-            # Receive phase.
-            for proc in active:
-                if proc.halted:
-                    membership_dirty = True
+            # Receive phase: the polled pids plus every pid with mail,
+            # in pid order.  Each receiver still running re-declares its
+            # wake round.
+            polled.update(touched)
+            receivers = sorted(polled)
+            for pid in receivers:
+                if pid in crashed:
                     continue
-                pid = proc.pid
-                if crashing and pid in crashed:
-                    continue
-                box = inboxes[pid]
-                proc.receive(rnd, box if box else [])
+                proc = processes[pid]
+                if not proc.halted:
+                    box = inboxes[pid]
+                    proc.receive(rnd, box if box else [])
                 if proc.halted:
-                    membership_dirty = True
+                    if wake[pid] >= 0:
+                        retire(pid)
+                    continue
+                if fast_forward:
+                    nxt = proc.next_activity(rnd)
+                    if nxt <= rnd:
+                        raise ProtocolError(
+                            f"process {pid} declared next_activity {nxt} <= {rnd}"
+                        )
+                else:
+                    nxt = rnd + 1
+                old = wake[pid]
+                if nxt != old:
+                    if old > rnd:
+                        due[old].discard(pid)
+                    wake[pid] = nxt
+                    bucket = due.get(nxt)
+                    if bucket is None:
+                        due[nxt] = {pid}
+                        heappush(due_rounds, nxt)
+                    else:
+                        bucket.add(pid)
 
             # Abandon delivered inboxes to their consumers.
             for dst in touched:
@@ -652,10 +708,11 @@ class Engine:
                 t_deliver = tel.clock()
                 tel.span("deliver", rnd, t_send, t_deliver)
                 tel.span("round", rnd, t_round, t_deliver)
-                for proc in self.processes:
-                    if proc.decided and proc.pid not in decided_seen:
-                        decided_seen.add(proc.pid)
-                        tel.point("decide", rnd, t_deliver, pid=proc.pid)
+                # Only a polled process can have decided this round.
+                for pid in receivers:
+                    if pid not in decided_seen and processes[pid].decided:
+                        decided_seen.add(pid)
+                        tel.point("decide", rnd, t_deliver, pid=pid)
 
             if delivered_any:
                 last_active_round = rnd
@@ -663,25 +720,24 @@ class Engine:
             if observer is not None:
                 observer(rnd, self.processes)
 
-            if membership_dirty:
-                active = [
-                    p
-                    for p in active
-                    if not p.halted and p.pid not in crashed
-                ]
-
-            # Termination: all operational non-Byzantine halted, i.e.
-            # only Byzantine processes remain active -- and no crashed
-            # node still has a scheduled rejoin ahead.
-            if (
-                not active
-                or (byzantine and all(p.pid in byzantine for p in active))
-            ) and not self._rejoin_pending(rnd):
+            # Termination: no running non-Byzantine process is left, and
+            # no crashed node still has a scheduled rejoin ahead.
+            if not running and not self._rejoin_pending(rnd):
                 self.metrics.rounds = rnd + 1
                 completed = True
                 break
 
-            rnd = self._advance_active(rnd, delivered_any, active, fast_forward)
+            if not fast_forward:
+                rnd += 1
+                continue
+            # Next round: the earliest due round or fault event.
+            while due_rounds and not due[due_rounds[0]]:
+                del due[heappop(due_rounds)]
+            nxt = due_rounds[0] if due_rounds else self.max_rounds
+            event = adversary.next_event_round(rnd)
+            if event is not None and event < nxt:
+                nxt = max(event, rnd + 1)
+            rnd = nxt
         else:
             self.metrics.rounds = self.max_rounds
         return completed, last_active_round
@@ -768,32 +824,6 @@ class Engine:
             nxt = min(nxt, wake)
             if nxt == rnd + 1:
                 return rnd + 1
-        crash_event = self.adversary.next_event_round(rnd)
-        if crash_event is not None:
-            nxt = min(nxt, max(crash_event, rnd + 1))
-        return max(rnd + 1, nxt)
-
-    def _advance_active(
-        self,
-        rnd: int,
-        delivered_any: bool,
-        active: Sequence[Process],
-        fast_forward: bool,
-    ) -> int:
-        """:meth:`_advance` over a pre-filtered active-process list."""
-        if not fast_forward or delivered_any:
-            return rnd + 1
-        nxt = self.max_rounds
-        for proc in active:
-            wake = proc.next_activity(rnd)
-            if wake <= rnd:
-                raise ProtocolError(
-                    f"process {proc.pid} declared next_activity {wake} <= {rnd}"
-                )
-            if wake < nxt:
-                nxt = wake
-                if nxt == rnd + 1:
-                    break
         crash_event = self.adversary.next_event_round(rnd)
         if crash_event is not None:
             nxt = min(nxt, max(crash_event, rnd + 1))

@@ -13,8 +13,8 @@ A protocol is implemented by subclassing :class:`Process` and overriding
 
 Processes are *round-schedule state machines*: all timing decisions must
 be made against the absolute round number passed to ``send``/``receive``
-so that the engine's quiescence fast-forward (skipping rounds in which no
-process is active) never changes observable behaviour.
+so that the engine skipping a process before its declared
+:meth:`Process.next_activity` round never changes observable behaviour.
 """
 
 from __future__ import annotations
@@ -161,18 +161,25 @@ class Process:
 
         ``inbox`` holds ``(src, payload)`` pairs for every message sent
         to this process in this round, in an arbitrary but deterministic
-        order.  Called every round (possibly with an empty inbox) so that
-        protocols such as local probing can count per-round receptions.
+        order.  Called in every round in which the process has mail or
+        is due by :meth:`next_activity`, then possibly with an empty
+        inbox (so local probing can count a round with no receptions).
+        The reference loop, and any run with ``fast_forward=False``,
+        calls it every round.
         """
 
     def next_activity(self, rnd: int) -> int:
         """Earliest round after ``rnd`` at which this process may act
-        spontaneously (send without having received anything).
+        spontaneously: send without having received anything, or change
+        its state on an empty inbox.
 
-        The engine fast-forwards over rounds in which no process is
-        active and no messages are in flight.  The default, ``rnd + 1``,
-        disables fast-forwarding; schedule-driven protocols override this
-        with the next boundary of their round schedule.
+        Read after each ``receive`` (including one with mail).  Until
+        the declared round, and unless mail arrives, the optimized
+        engine calls neither ``send`` nor ``receive``, so ``send`` must
+        return nothing and an empty ``receive`` must change nothing in
+        the rounds before it.  The default, ``rnd + 1``, polls every
+        round; schedule-driven protocols override this with the next
+        boundary of their round schedule.
         """
         return rnd + 1
 

@@ -51,7 +51,7 @@ import json
 import os
 from typing import Any, Iterable, Mapping, Optional
 
-from repro.sim.adversary import CrashAdversary
+from repro.sim.adversary import CrashAdversary, next_event_after
 
 __all__ = [
     "Trace",
@@ -600,10 +600,7 @@ class TraceAdversary(CrashAdversary):
         return self._blocked.get(rnd)
 
     def next_event_round(self, rnd: int) -> Optional[int]:
-        for event in self._event_rounds:
-            if event > rnd:
-                return event
-        return None
+        return next_event_after(self._event_rounds, rnd)
 
     def total_budget(self) -> int:
         return sum(len(crashes) for crashes in self._crashes.values())

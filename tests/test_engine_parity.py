@@ -1,11 +1,12 @@
 """Parity tests: the optimized engine hot path vs the reference loop.
 
 The optimized round loop (batched metric recording, shared multicast
-envelopes, reused inbox lists, per-round payload-bits caching, active
-membership tracking) must be *observably identical* to the reference
-loop kept from the seed engine: same rounds, messages, bits, per-node
-and per-round tallies, decisions, crash sets and completion status,
-for every protocol family and fault pattern.
+envelopes, reused inbox lists, per-round payload-bits caching, the wake
+index that polls only processes with work to do) must be *observably
+identical* to the reference loop kept from the seed engine: same
+rounds, messages, bits, per-node and per-round tallies, decisions,
+crash sets and completion status, for every protocol family and fault
+pattern.
 """
 
 import pytest
@@ -18,9 +19,11 @@ from repro import (
     run_gossip,
     run_scv,
 )
+from repro.api import prepare_recipe
 from repro.baselines import FloodingConsensusProcess
 from repro.bench.workloads import byzantine_sample, input_vector, rumor_vector
 from repro.check.oracles import check_parity
+from repro.core.consensus import FewCrashesConsensusProcess
 from repro.sim import Engine, crash_schedule
 from repro.sim.adversary import CrashSpec, ScheduledCrashes
 from repro.sim.process import Multicast, Process, ProtocolError
@@ -218,3 +221,37 @@ class TestEngineEdgeParity:
             engine = Engine([BadMulticast(0, 1)], optimized=optimized)
             with pytest.raises(ProtocolError):
                 engine.run()
+
+
+class TestWakeIndexSavings:
+    """The optimized loop polls only the processes with work to do."""
+
+    def test_few_crashes_consensus_skips_idle_sends(self, monkeypatch):
+        calls = [0]
+        original = FewCrashesConsensusProcess.send
+
+        def counting_send(self, rnd):
+            calls[0] += 1
+            return original(self, rnd)
+
+        monkeypatch.setattr(FewCrashesConsensusProcess, "send", counting_send)
+        recipe = {
+            "name": "consensus",
+            "inputs": input_vector(400, "random", 0),
+            "t": 40,
+            "algorithm": "few",
+        }
+        results, sends = {}, {}
+        for optimized in (True, False):
+            calls[0] = 0
+            prepared = prepare_recipe(recipe, crashes="random", seed=0)
+            results[optimized] = Engine(
+                prepared.processes,
+                prepared.adversary,
+                max_rounds=prepared.max_rounds,
+                optimized=optimized,
+            ).run()
+            sends[optimized] = calls[0]
+        assert results[True].crashed
+        assert_parity(results[True], results[False])
+        assert sends[True] * 4 < sends[False], sends

@@ -1,12 +1,15 @@
-"""Fast-forward at the max_rounds horizon and across churn rejoins.
+"""Fast-forward at the max_rounds horizon, across churn rejoins and
+through the optimized loop's wake index.
 
-``_advance`` / ``_advance_active`` clamp a quiescence jump to
-``max_rounds`` when nothing wakes; these tests pin that the clamped
-jump is *observably identical* to executing every round
+The reference loop's ``_advance`` and the optimized loop's wake index
+clamp a jump to ``max_rounds`` when nothing wakes; these tests pin that
+the clamped jump is *observably identical* to executing every round
 (``fast_forward=False``) -- rounds, metrics, decisions, completion --
 near the horizon and across churn-rejoin wake events, on both engine
-paths.  Plus the observer regression: ``Engine.run(observer=...)``
-must not leave ``fast_forward`` mutated on the engine.
+paths.  Two wake-index cases pin a pid polled once per due round and
+due buckets visited in pid order.  Plus the observer regression:
+``Engine.run(observer=...)`` must not leave ``fast_forward`` mutated on
+the engine.
 """
 
 import pytest
@@ -176,6 +179,117 @@ class TestChurnRejoinWake:
         assert 0 in baseline.decisions
         assert baseline.metrics.per_round_messages[40] > 0
         assert baseline.metrics.rounds == 41
+
+
+class Nudger(Process):
+    """Sends one nudge to ``target`` at round ``at``, then halts."""
+
+    def __init__(self, pid, n, target, at):
+        super().__init__(pid, n)
+        self.target = target
+        self.at = at
+
+    def send(self, rnd):
+        if rnd == self.at:
+            yield (self.target, "nudge")
+
+    def receive(self, rnd, inbox):
+        if rnd >= self.at:
+            self.halt()
+
+    def next_activity(self, rnd):
+        return max(rnd + 1, self.at)
+
+
+class Mover(Process):
+    """Sleeps until ``wake``; a nudge pulls its wake forward to
+    ``early``, where it declares ``wake`` again.  It sends to ``sink``
+    at ``early`` (only if nudged) and at ``wake``, so a second poll at
+    ``wake`` would send twice."""
+
+    def __init__(self, pid, n, sink, wake, early):
+        super().__init__(pid, n)
+        self.sink = sink
+        self.wake = wake
+        self.early = early
+        self.nudged = False
+
+    def send(self, rnd):
+        if rnd == self.wake or (rnd == self.early and self.nudged):
+            yield (self.sink, ("move", rnd, self.pid))
+
+    def receive(self, rnd, inbox):
+        if inbox:
+            self.nudged = True
+        if rnd >= self.wake:
+            self.halt()
+
+    def next_activity(self, rnd):
+        if self.nudged and rnd < self.early:
+            return self.early
+        return self.wake if rnd < self.wake else rnd + 1
+
+
+class Sink(Process):
+    """Decides on the senders of everything it received, in inbox
+    order, once ``until`` has passed."""
+
+    def __init__(self, pid, n, until):
+        super().__init__(pid, n)
+        self.until = until
+        self.heard = []
+
+    def receive(self, rnd, inbox):
+        self.heard.extend(src for src, _ in inbox)
+        if rnd >= self.until:
+            self.decide(tuple(self.heard))
+            self.halt()
+
+    def next_activity(self, rnd):
+        return max(rnd + 1, self.until)
+
+
+class TestWakeIndex:
+    """The optimized loop's per-round buckets of due pids."""
+
+    def test_wake_moved_earlier_and_back_polls_once(self):
+        # pid 1 declares 10, is nudged at 3 and moves to 5, then
+        # declares 10 again: it must be polled once at 10 (buckets are
+        # sets), so the sink hears it exactly twice.
+        n = 3
+
+        def make():
+            return [
+                Sink(0, n, until=12),
+                Mover(1, n, sink=0, wake=10, early=5),
+                Nudger(2, n, target=1, at=3),
+            ]
+
+        baseline = assert_grid_parity(run_grid(make, lambda: None, 40))
+        assert baseline.decisions == {0: (1, 1)}
+        assert baseline.metrics.messages == 3
+        assert baseline.metrics.per_round_messages[10] == 1
+
+    def test_bucket_from_two_origin_rounds_runs_in_pid_order(self):
+        # pid 9 enters bucket 10 at round 0 and pid 1 joins it at round
+        # 3; in a set, 9 then 1 collide and iterate as (9, 1).  The
+        # round must still poll 1 before 9, so the sink's inbox is in
+        # pid order.
+        n = 10
+
+        def make():
+            procs = [
+                Sink(0, n, until=12),
+                Mover(1, n, sink=0, wake=20, early=10),
+                Nudger(2, n, target=1, at=3),
+            ]
+            procs += [Sink(pid, n, until=0) for pid in range(3, 9)]
+            procs.append(Mover(9, n, sink=0, wake=10, early=10))
+            return procs
+
+        baseline = assert_grid_parity(run_grid(make, lambda: None, 60))
+        assert baseline.completed
+        assert baseline.decisions[0] == (1, 9)
 
 
 class TestObserverDoesNotMutateFastForward:
