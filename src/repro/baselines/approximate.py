@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = ["ApproximateConsensusProcess", "approximate_phase_count"]
 
@@ -69,7 +69,7 @@ class ApproximateConsensusProcess(Process):
         self.mode = mode
         self.value = float(input_value)
         self.rounds = t + 1 + phases
-        self._everyone = tuple(q for q in range(n) if q != pid)
+        self._everyone = all_but(pid, n)
 
     def send(self, rnd: int):
         if rnd >= self.rounds or not self._everyone:

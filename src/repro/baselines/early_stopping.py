@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = ["EarlyStoppingConsensusProcess"]
 
@@ -48,15 +48,15 @@ class EarlyStoppingConsensusProcess(Process):
         self.minimum = input_value
         self._heard_prev: Optional[frozenset[int]] = None
         self._announce = False
+        self._everyone = all_but(pid, n)
 
     def send(self, rnd: int):
-        others = tuple(q for q in range(self.n) if q != self.pid)
-        if not others:
+        if not self._everyone:
             return ()
         if self._announce:
-            return [Multicast(others, (_DECIDED_TAG, self.decision))]
+            return [Multicast(self._everyone, (_DECIDED_TAG, self.decision))]
         if not self.decided:
-            return [Multicast(others, self.minimum)]
+            return [Multicast(self._everyone, self.minimum)]
         return ()
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:

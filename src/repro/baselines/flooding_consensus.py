@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = ["FloodingConsensusProcess"]
 
@@ -25,7 +25,7 @@ class FloodingConsensusProcess(Process):
         self.t = t
         self.minimum = input_value
         self.rounds = t + 1
-        self._everyone = tuple(q for q in range(n) if q != pid)
+        self._everyone = all_but(pid, n)
 
     def send(self, rnd: int):
         if rnd >= self.rounds or not self._everyone:

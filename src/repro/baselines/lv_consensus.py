@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = ["LVConsensusProcess"]
 
@@ -42,7 +42,7 @@ class LVConsensusProcess(Process):
         self.width = width
         self.value = input_value
         self.rounds = t + 1
-        self._everyone = tuple(q for q in range(n) if q != pid)
+        self._everyone = all_but(pid, n)
 
     def send(self, rnd: int):
         if rnd >= self.rounds or rnd != self.pid or not self._everyone:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.checkpointing import mask_to_set
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = ["NaiveCheckpointingProcess"]
 
@@ -36,7 +36,7 @@ class NaiveCheckpointingProcess(Process):
         super().__init__(pid, n)
         self.t = t
         self.mask = 1 << pid
-        self._everyone = tuple(q for q in range(n) if q != pid)
+        self._everyone = all_but(pid, n)
         self.end_round = t + 2  # round 0 ping + rounds 1..t+1 flooding
 
     def send(self, rnd: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = ["NaiveGossipProcess"]
 
@@ -22,7 +22,7 @@ class NaiveGossipProcess(Process):
     def __init__(self, pid: int, n: int, rumor: Any):
         super().__init__(pid, n)
         self.extant: dict[int, Any] = {pid: rumor}
-        self._everyone = tuple(q for q in range(n) if q != pid)
+        self._everyone = all_but(pid, n)
 
     def send(self, rnd: int):
         if not self._everyone:

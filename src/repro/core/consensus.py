@@ -20,6 +20,7 @@ the checkpointing pipeline (``n``-bit masks).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Optional
 
 from repro.core.aea import AEAComponent, aea_overlay
@@ -29,7 +30,7 @@ from repro.core.scv import SCVComponent
 from repro.graphs.families import mcc_phase_graph, spread_graph
 from repro.graphs.graph import Graph
 from repro.graphs.ramanujan import certified_ramanujan_graph
-from repro.sim.process import Multicast, Process
+from repro.sim.process import Multicast, Process, all_but
 
 __all__ = [
     "FewCrashesConsensusProcess",
@@ -198,15 +199,21 @@ class ManyCrashesConsensusProcess(Process):
                 out.append(Multicast(tuple(self._inquirers), self.decision))
                 self._inquirers = []
             return out
-        everyone = tuple(q for q in range(self.n) if q != self.pid)
         if rnd == self.help_round:
-            if not self.decided and everyone:
-                out.append(Multicast(everyone, _HELP))
+            if not self.decided and self.n > 1:
+                out.append(Multicast(self._everyone, _HELP))
         elif self.help_round < rnd < self.recovery_end:
-            if self._recovering and everyone:
+            if self._recovering and self.n > 1:
                 decided_value = self.decision if self.decided else self._seen_decided
-                out.append(Multicast(everyone, (decided_value, self._min_candidate)))
+                out.append(
+                    Multicast(self._everyone, (decided_value, self._min_candidate))
+                )
         return out
+
+    @cached_property
+    def _everyone(self) -> tuple[int, ...]:
+        """The recovery flood's destinations, built at its first send."""
+        return all_but(self.pid, self.n)
 
     def receive(self, rnd: int, inbox: list[tuple[int, Any]]) -> None:
         if rnd < self.flood_end:

@@ -52,7 +52,14 @@ The engine carries two interchangeable round-loop implementations:
   whose declared ``next_activity`` is due, those that receive mail and
   those that crash or rejoin in it, in pid order, and the next round is
   the earliest due round or fault event -- so the cost of a round is
-  proportional to its work, not to ``n``;
+  proportional to its work, not to ``n``.  A delivery is one list
+  append: each sender's last destination tuple that passed the range
+  check is kept, so a process that multicasts to the same tuple every
+  round is checked once per run (a new tuple or a list is checked each
+  time).  The receivers with mail are found after the send phase -- a
+  round of at least ``n`` messages scans the ``n`` inboxes, which costs
+  no more than its deliveries; a sparser one takes the union of its
+  recorded destination groups;
 * the **reference** path (``Engine(..., optimized=False)``) is the
   original straight-line loop kept as the executable specification.
 
@@ -66,6 +73,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Any, Optional, Sequence
 
 from repro.obs.recorder import coerce_recorder
@@ -120,11 +128,9 @@ def collect_sends(
         else:
             dst, payload = item
             dsts = (dst,)
-        for dst in dsts:
-            if not (0 <= dst < n):
-                raise ProtocolError(
-                    f"process {proc.pid} sent to invalid pid {dst}"
-                )
+        if dsts and (min(dsts) < 0 or max(dsts) >= n):
+            bad = next(dst for dst in dsts if not (0 <= dst < n))
+            raise ProtocolError(f"process {proc.pid} sent to invalid pid {bad}")
         if remaining is not None and len(dsts) > remaining:
             dsts = tuple(dsts[:remaining])
         if dsts:
@@ -493,6 +499,10 @@ class Engine:
         # id(payload) -> (payload, bits); pins the payload so ids cannot
         # be recycled while cached.  Cleared every round.
         bits_cache: dict[int, tuple[Any, int]] = {}
+        # checked[pid]: the last destination tuple of pid that passed the
+        # range check.  The slot pins the tuple, so an identity hit means
+        # the very same immutable group; only tuples are stored.
+        checked: list[Any] = [None] * n
         # Wake index over the running (neither crashed nor halted)
         # processes: wake[pid] is pid's declared wake round (-1 once it
         # crashed or halted), due[r] the set of pids whose wake is r and
@@ -571,11 +581,13 @@ class Engine:
             # on it).  A sender takes the collect_sends slow path when
             # it crashes this round, when a link filter is active, or
             # when a trace recorder is attached; the common crash-only
-            # case keeps the batched fast path below.
+            # case keeps the batched fast path below.  A delivery is a
+            # bare append; the receive phase finds who got mail.
             slow_round = blocked is not None or recorder is not None
             bits_cache.clear()
-            touched: list[int] = []
-            delivered_any = False
+            sent_groups: list[tuple[int, ...]] = []
+            sent_points: list[int] = []
+            round_msgs = 0
             for pid in sorted(polled):
                 proc = processes[pid]
                 if slow_round or (crashing and pid in crashing):
@@ -613,11 +625,9 @@ class Engine:
                             )
                         envelope = (pid, payload)
                         for dst in dsts:
-                            box = inboxes[dst]
-                            if not box:
-                                touched.append(dst)
-                            box.append(envelope)
-                    delivered_any = True
+                            inboxes[dst].append(envelope)
+                        sent_groups.append(dsts)
+                        round_msgs += len(dsts)
                     continue
                 msg_total = 0
                 bit_total = 0
@@ -628,22 +638,28 @@ class Engine:
                         width = len(dsts)
                         if width == 0:
                             continue
-                        if min(dsts) < 0 or max(dsts) >= n:
-                            bad = next(
-                                d for d in dsts if not (0 <= d < n)
-                            )
-                            raise ProtocolError(
-                                f"process {pid} sent to invalid pid {bad}"
-                            )
+                        if checked[pid] is not dsts:
+                            # A mutable group is checked every time, and
+                            # copied: the sender may change it before
+                            # the receivers are read from sent_groups.
+                            group = dsts if type(dsts) is tuple else tuple(dsts)
+                            if min(group) < 0 or max(group) >= n:
+                                bad = next(
+                                    d for d in group if not (0 <= d < n)
+                                )
+                                raise ProtocolError(
+                                    f"process {pid} sent to invalid pid {bad}"
+                                )
+                            if group is dsts:
+                                checked[pid] = dsts
+                            dsts = group
                         bits_each = payload_bits_cached(payload, bits_cache)
                         msg_total += width
                         bit_total += bits_each * width
                         envelope = (pid, payload)
                         for dst in dsts:
-                            box = inboxes[dst]
-                            if not box:
-                                touched.append(dst)
-                            box.append(envelope)
+                            inboxes[dst].append(envelope)
+                        sent_groups.append(dsts)
                     else:
                         dst, payload = item
                         if dst < 0 or dst >= n:
@@ -652,30 +668,39 @@ class Engine:
                             )
                         msg_total += 1
                         bit_total += payload_bits_cached(payload, bits_cache)
-                        box = inboxes[dst]
-                        if not box:
-                            touched.append(dst)
-                        box.append((pid, payload))
+                        inboxes[dst].append((pid, payload))
+                        sent_points.append(dst)
                 if msg_total:
                     metrics.record_send(
                         pid, msg_total, bit_total, rnd, pid not in byzantine
                     )
-                    delivered_any = True
+                    round_msgs += msg_total
             if tel is not None:
                 t_send = tel.clock()
                 tel.span("send", rnd, t_crash, t_send)
 
             # Receive phase: the polled pids plus every pid with mail,
-            # in pid order.  Each receiver still running re-declares its
-            # wake round.
-            polled.update(touched)
+            # in pid order.  A round of at least n messages finds its
+            # mail receivers by scanning the n inboxes (no dearer than
+            # its deliveries); a sparser round takes the union of its
+            # recorded destinations.  Each receiver still running
+            # re-declares its wake round.
+            if round_msgs >= n:
+                polled.update(compress(range(n), inboxes))
+            else:
+                polled.update(sent_points)
+                for dsts in sent_groups:
+                    polled.update(dsts)
             receivers = sorted(polled)
             for pid in receivers:
+                box = inboxes[pid]
+                if box:
+                    # Abandon the delivered buffer to its consumer.
+                    inboxes[pid] = []
                 if pid in crashed:
                     continue
                 proc = processes[pid]
                 if not proc.halted:
-                    box = inboxes[pid]
                     proc.receive(rnd, box if box else [])
                 if proc.halted:
                     if wake[pid] >= 0:
@@ -701,9 +726,6 @@ class Engine:
                     else:
                         bucket.add(pid)
 
-            # Abandon delivered inboxes to their consumers.
-            for dst in touched:
-                inboxes[dst] = []
             if tel is not None:
                 t_deliver = tel.clock()
                 tel.span("deliver", rnd, t_send, t_deliver)
@@ -714,7 +736,7 @@ class Engine:
                         decided_seen.add(pid)
                         tel.point("decide", rnd, t_deliver, pid=pid)
 
-            if delivered_any:
+            if round_msgs:
                 last_active_round = rnd
 
             if observer is not None:

@@ -23,6 +23,7 @@ from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "Multicast",
+    "all_but",
     "Process",
     "ProtocolError",
     "payload_bits",
@@ -41,10 +42,25 @@ class Multicast(NamedTuple):
     destination for accounting purposes (the paper's multi-port model
     charges per point-to-point message), but avoids materialising one
     envelope object per recipient.
+
+    ``dsts`` should be a tuple that the process keeps across rounds (see
+    :func:`all_but`): the optimized engine range-checks a sender's
+    destination tuple once and skips the check while the sender sends
+    that same object again.  A fresh tuple, or a list, is checked every
+    time it is sent, never skipped.
     """
 
     dsts: tuple[int, ...]
     payload: Any
+
+
+def all_but(pid: int, n: int) -> tuple[int, ...]:
+    """Every pid of ``range(n)`` except ``pid``, in increasing order.
+
+    Built in C from two ranges.  A broadcasting process builds it once
+    and multicasts to the same tuple every round.
+    """
+    return tuple(range(pid)) + tuple(range(pid + 1, n))
 
 
 # Per-element overhead charged for structured payloads, in bits.  This

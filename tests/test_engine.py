@@ -186,6 +186,66 @@ class TestValidation:
         assert result.correct_pids() == []
 
 
+class Resender(Process):
+    """Multicasts ``groups[rnd]`` in each round it has one; the engine
+    checks each sender's destination tuple once and skips the check
+    while the same object is sent again."""
+
+    def __init__(self, pid, n, groups):
+        super().__init__(pid, n)
+        self.groups = groups
+
+    def send(self, rnd):
+        if rnd < len(self.groups):
+            return [Multicast(self.groups[rnd], rnd)]
+        return ()
+
+    def receive(self, rnd, inbox):
+        if rnd >= len(self.groups):
+            self.halt()
+
+
+class Listener(Process):
+    def receive(self, rnd, inbox):
+        if rnd >= 3:
+            self.halt()
+
+
+class TestDestinationCheckCache:
+    """A cached destination check never lets a bad pid through."""
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_new_tuple_with_n_is_checked(self, optimized):
+        n = 3
+        good = (1, 2)
+        procs = [Resender(0, n, [good, (1, n)])]
+        procs += [Listener(pid, n) for pid in range(1, n)]
+        with pytest.raises(ProtocolError, match=f"invalid pid {n}$"):
+            Engine(procs, optimized=optimized).run()
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_list_mutated_in_place_is_checked(self, optimized):
+        n = 3
+
+        class Mutator(Resender):
+            def receive(self, rnd, inbox):
+                self.groups[0][1] = -1
+
+        dsts = [1, 2]
+        procs = [Mutator(0, n, [dsts, dsts])]
+        procs += [Listener(pid, n) for pid in range(1, n)]
+        with pytest.raises(ProtocolError, match="invalid pid -1$"):
+            Engine(procs, optimized=optimized).run()
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_negative_pid_rejected(self, optimized):
+        n = 3
+        procs = [Resender(0, n, [(1, -2, 2)])]
+        procs += [Listener(pid, n) for pid in range(1, n)]
+        with pytest.raises(ProtocolError, match="process 0 sent to invalid pid -2$"):
+            Engine(procs, optimized=optimized).run()
+
+
 class TestDecisions:
     def test_decide_is_irrevocable(self):
         proc = Echo(0, 2)

@@ -17,7 +17,8 @@ import pytest
 from repro.check.oracles import check_parity
 from repro.scenarios import ChurnSpec, Scenario
 from repro.sim import Engine
-from repro.sim.process import Multicast, Process
+from repro.sim.adversary import CrashSpec, ScheduledCrashes
+from repro.sim.process import Multicast, Process, all_but
 
 
 class Sleeper(Process):
@@ -290,6 +291,159 @@ class TestWakeIndex:
         baseline = assert_grid_parity(run_grid(make, lambda: None, 60))
         assert baseline.completed
         assert baseline.decisions[0] == (1, 9)
+
+
+class Spammer(Process):
+    """Sends ``count`` point-to-point messages to ``target`` at round
+    ``at``, then halts."""
+
+    def __init__(self, pid, n, target, at, count):
+        super().__init__(pid, n)
+        self.target = target
+        self.at = at
+        self.count = count
+
+    def send(self, rnd):
+        if rnd == self.at:
+            for index in range(self.count):
+                yield (self.target, index)
+
+    def receive(self, rnd, inbox):
+        if rnd >= self.at:
+            self.halt()
+
+    def next_activity(self, rnd):
+        return max(rnd + 1, self.at)
+
+
+class Mixer(Process):
+    """Sends ``plan[rnd]``, a list of multicast groups (tuples) and
+    point-to-point pids, in that order; halts after its last entry."""
+
+    def __init__(self, pid, n, plan):
+        super().__init__(pid, n)
+        self.plan = plan
+
+    def send(self, rnd):
+        for entry in self.plan.get(rnd, ()):
+            if isinstance(entry, tuple):
+                yield Multicast(entry, ("group", rnd, self.pid))
+            else:
+                yield (entry, ("point", rnd, self.pid))
+
+    def receive(self, rnd, inbox):
+        if rnd >= max(self.plan):
+            self.halt()
+
+    def next_activity(self, rnd):
+        later = [r for r in self.plan if r > rnd]
+        return min(later) if later else rnd + 1
+
+
+class Dozer(Process):
+    """Mailless and silent until ``wake``; ``polled`` lists the rounds
+    in which it was polled, so a poll before its wake shows."""
+
+    def __init__(self, pid, n, wake):
+        super().__init__(pid, n)
+        self.wake = wake
+        self.polled = []
+
+    def receive(self, rnd, inbox):
+        self.polled.append(rnd)
+        if rnd >= self.wake:
+            self.decide(len(inbox))
+            self.halt()
+
+    def next_activity(self, rnd):
+        return max(rnd + 1, self.wake)
+
+
+class Flooder(Process):
+    """Multicasts to all others for ``rounds`` rounds and decides on
+    the senders heard, per round, in inbox order."""
+
+    def __init__(self, pid, n, rounds):
+        super().__init__(pid, n)
+        self.rounds = rounds
+        self.everyone = all_but(pid, n)
+        self.heard = []
+
+    def send(self, rnd):
+        if rnd < self.rounds:
+            yield Multicast(self.everyone, (rnd, self.pid))
+
+    def receive(self, rnd, inbox):
+        self.heard.append(tuple(src for src, _ in inbox))
+        if rnd == self.rounds - 1:
+            self.decide(tuple(self.heard))
+            self.halt()
+
+
+class TestDenseDelivery:
+    """The optimized loop finds a round's mail receivers by scanning the
+    inboxes once it sent at least n messages, else from the recorded
+    destinations; both must match the reference loop."""
+
+    def test_point_sends_to_one_pid_poll_no_sleeper(self):
+        # Round 3 sends n + 2 messages, all to pid 0: the inbox scan
+        # must find pid 0 alone, so the dozing pid 2 is not polled.
+        n = 6
+
+        def make():
+            procs = [
+                Sink(0, n, until=4),
+                Spammer(1, n, target=0, at=3, count=n + 2),
+                Dozer(2, n, wake=9),
+            ]
+            return procs + [Sink(pid, n, until=0) for pid in range(3, n)]
+
+        results = run_grid(make, lambda: None, 40)
+        baseline = assert_grid_parity(results)
+        assert baseline.metrics.per_round_messages[3] == n + 2
+        assert baseline.decisions[0] == (1,) * (n + 2)
+        assert baseline.decisions[2] == 0
+        assert results[(True, True)].processes[2].polled == [0, 9]
+
+    def test_dense_multicast_mixed_with_point_sends(self):
+        # Round 2 mixes a multicast to everyone with point sends (at
+        # least n messages: scan); round 5 sends a few (union).  Two
+        # senders reach pid 0 in both, so inbox order is pinned too.
+        n = 8
+
+        def make():
+            procs = [Sink(0, n, until=6)]
+            procs.append(Mixer(1, n, {2: [all_but(1, n), 0, 3], 5: [(0, 4), 6]}))
+            procs += [Sink(pid, n, until=6) for pid in range(2, 6)]
+            procs.append(Dozer(6, n, wake=7))
+            procs.append(Mixer(7, n, {2: [0, (0, 5)], 5: [0, 0]}))
+            return procs
+
+        results = run_grid(make, lambda: None, 40)
+        baseline = assert_grid_parity(results)
+        assert baseline.metrics.per_round_messages[2] == n - 1 + 2 + 3
+        assert baseline.metrics.per_round_messages[5] == 5
+        assert baseline.decisions[0] == (1, 1, 7, 7, 1, 7, 7)
+        assert baseline.decisions[6] == 0
+        # Mail reached pid 6 in round 5 only as a point send.
+        assert results[(True, True)].processes[6].polled == [0, 2, 5, 7]
+
+    @pytest.mark.parametrize("keep", [0, 3, None])
+    def test_crash_round_truncates_dense_multicast(self, keep):
+        n = 7
+
+        def make():
+            return [Flooder(pid, n, rounds=3) for pid in range(n)]
+
+        def adversary():
+            return ScheduledCrashes({2: CrashSpec(round=1, keep=keep)})
+
+        baseline = assert_grid_parity(run_grid(make, adversary, 40))
+        assert baseline.crashed == {2}
+        heard = 0 if keep is None else n - 1 - keep
+        assert sum(
+            2 not in baseline.decisions[pid][1] for pid in range(n) if pid != 2
+        ) == heard
 
 
 class TestObserverDoesNotMutateFastForward:
